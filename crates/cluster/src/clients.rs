@@ -162,8 +162,12 @@ pub struct ClientMux {
     /// Sessions with a sendable message and nothing in flight, served
     /// round-robin for fairness across clients.
     ready: VecDeque<u32>,
-    /// Open-loop arrival schedule: `(due_us, session)` min-heap.
+    /// Open-loop arrival schedule: `(due_us, session)` min-heap, due
+    /// times relative to `start_us`.
     arrivals: BinaryHeap<Reverse<(u64, u32)>>,
+    /// The first `now_us` passed to [`ClientMux::next`]: the schedule's
+    /// time zero (callers pass wall-clock µs, not µs since start).
+    start_us: Option<u64>,
     /// Issues still owed across all sessions (drives `done_issuing`).
     remaining_issues: u64,
     /// Sessions that completed their full quota.
@@ -193,6 +197,7 @@ impl ClientMux {
             sessions: Vec::with_capacity(local as usize),
             ready: VecDeque::new(),
             arrivals: BinaryHeap::new(),
+            start_us: None,
             remaining_issues: local * quota as u64,
             sessions_done: 0,
             completed_total: 0,
@@ -239,8 +244,9 @@ impl ClientMux {
     /// `TUNING.client_send_budget`.
     pub fn next(&mut self, now_us: u64) -> Option<Issue> {
         // Materialize due open-loop arrivals first.
+        let elapsed = now_us.saturating_sub(*self.start_us.get_or_insert(now_us));
         while let Some(&Reverse((due, idx))) = self.arrivals.peek() {
-            if due > now_us {
+            if due > elapsed {
                 break;
             }
             self.arrivals.pop();
@@ -492,8 +498,9 @@ mod tests {
     fn open_loop_backlog_queues_behind_the_wire_slot() {
         // One client, fast arrivals, slow acks: arrivals outpace the
         // stop-and-wait slot, the backlog drains one ack at a time.
-        let s = spec(WorkloadKind::Open { rate_per_sec: 1e6 }, 5, 1);
+        let s = spec(WorkloadKind::Open { rate_per_sec: 1e3 }, 5, 1);
         let mut mux = ClientMux::new(&s, 0, 2, 3);
+        assert!(mux.next(0).is_none(), "the first poll anchors the schedule");
         let mut now = 1_000_000u64; // all 5 arrivals long due
         let first = mux.next(now).expect("backlog ready");
         assert!(mux.next(now).is_none(), "wire slot busy: stop-and-wait");
@@ -502,6 +509,22 @@ mod tests {
         now += 10;
         assert!(mux.next(now).is_some(), "ack re-arms the session");
         assert!(!mux.done_issuing());
+    }
+
+    #[test]
+    fn open_loop_schedule_starts_at_the_first_poll() {
+        // Nodes pass wall-clock µs since the Unix epoch: arrivals must be
+        // due relative to the first poll, not all at once.
+        let s = spec(WorkloadKind::Open { rate_per_sec: 10.0 }, 3, 100);
+        let mut mux = ClientMux::new(&s, 0, 2, 11);
+        let start = 1_700_000_000_000_000u64;
+        let issued_by = |mux: &mut ClientMux, now| std::iter::from_fn(|| mux.next(now)).count();
+        let early = issued_by(&mut mux, start);
+        assert!(early < 5, "{early} of 50 sessions issued at time zero");
+        // Every first arrival is due within the 10 s gap cap; stop-and-
+        // wait holds each session to one message in flight.
+        let later = issued_by(&mut mux, start + 20_000_000);
+        assert_eq!(early + later, 50);
     }
 
     #[test]

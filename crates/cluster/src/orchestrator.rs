@@ -42,6 +42,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use ssmfp_core::conc::{register_thread, spawn_registered, tracked_channel, TrackedSender};
 use ssmfp_core::{reconcile_clients, reconcile_ledgers, ClientVerdict, ClusterVerdict, NodeLedger};
+use ssmfp_mp::{decode_client_ghost, MpGhost};
 use ssmfp_topology::{Graph, NodeId};
 use std::io::{self, Read, Write};
 use std::ops::Range;
@@ -354,7 +355,15 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
 }
 
 /// Folds a node group's reports into its pre-merged [`ShardSummary`].
-fn summarize(shard: usize, reports: &[NodeReport]) -> ShardSummary {
+fn summarize(shard: usize, client_mode: bool, reports: &[NodeReport]) -> ShardSummary {
+    // Each mode has its own ghost layout, hence its own ack bit.
+    let is_primary = |g: &MpGhost| {
+        if client_mode {
+            decode_client_ghost(*g).is_some_and(|c| !c.ack)
+        } else {
+            !is_ack_ghost(*g)
+        }
+    };
     let mut s = ShardSummary {
         shard,
         nodes: reports.len(),
@@ -363,7 +372,7 @@ fn summarize(shard: usize, reports: &[NodeReport]) -> ShardSummary {
     for r in reports {
         s.latency.merge(&r.latency);
         s.batch.merge(&r.batch);
-        s.primaries_delivered += r.delivered.iter().filter(|&&g| !is_ack_ghost(g)).count() as u64;
+        s.primaries_delivered += r.delivered.iter().filter(|g| is_primary(g)).count() as u64;
         s.counters.add(&r.counters);
         s.client_rtt.merge(&r.client_rtt);
         s.client_fair.merge(&r.client_fair);
@@ -779,6 +788,7 @@ fn shard_main(
         let _ = up.send((shard, msg));
     };
 
+    let client_mode = cfgs.iter().any(|c| c.clients.is_some());
     // --- spawn the node group ---
     let mut slots: Vec<NodeSlot> = Vec::with_capacity(cfgs.len());
     for cfg in cfgs {
@@ -1045,7 +1055,7 @@ fn shard_main(
                 }
             }
             if ok {
-                let summary = summarize(shard, &reports);
+                let summary = summarize(shard, client_mode, &reports);
                 send_up(ShardUp::Done(Box::new(ShardReport {
                     shard,
                     summary,
@@ -1332,7 +1342,6 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssmfp_mp::MpGhost;
 
     #[test]
     fn node_args_roundtrip() {
@@ -1462,7 +1471,7 @@ mod tests {
                 }
             })
             .collect();
-        let flat = summarize(0, &reports);
+        let flat = summarize(0, false, &reports);
         for shards in [1usize, 2, 3, 4, 10] {
             let mut top_lat = LogHistogram::new();
             let mut top_bat = LogHistogram::new();
@@ -1471,7 +1480,7 @@ mod tests {
             let summaries: Vec<ShardSummary> = shard_ranges(reports.len(), shards)
                 .iter()
                 .enumerate()
-                .map(|(s, range)| summarize(s, &reports[range.clone()]))
+                .map(|(s, range)| summarize(s, false, &reports[range.clone()]))
                 .collect();
             for sum in &summaries {
                 top_lat.merge(&sum.latency);
@@ -1490,6 +1499,35 @@ mod tests {
             assert_eq!(clients, flat.clients);
             assert_eq!(completed, flat.clients_completed);
         }
+    }
+
+    /// Each mode counts primaries by its own ghost layout: client-mode
+    /// acks carry the `ssmfp_mp::clients` ack bit, which the node
+    /// workload's `is_ack_ghost` does not read.
+    #[test]
+    fn summarize_counts_primaries_by_the_modes_own_ack_bit() {
+        use crate::workload::{ack_ghost, primary_ghost};
+        use ssmfp_mp::{ack_ghost_of, client_ghost};
+        let report = |delivered: Vec<MpGhost>| NodeReport {
+            node: 0,
+            generated: vec![],
+            delivered,
+            held: vec![],
+            latency: LogHistogram::new(),
+            batch: LogHistogram::new(),
+            client_rtt: LogHistogram::new(),
+            client_fair: LogHistogram::new(),
+            clients: 0,
+            clients_completed: 0,
+            counters: NodeCounters::default(),
+        };
+        let primaries: Vec<MpGhost> = (0..3).map(|s| client_ghost(1, s, 0)).collect();
+        let mut delivered = primaries.clone();
+        delivered.extend(primaries.iter().map(|&g| ack_ghost_of(g)));
+        let clients = [report(delivered)];
+        assert_eq!(summarize(0, true, &clients).primaries_delivered, 3);
+        let nodes = [report(vec![primary_ghost(1, 0), ack_ghost(2, 0)])];
+        assert_eq!(summarize(0, false, &nodes).primaries_delivered, 1);
     }
 
     /// The telemetry-complexity pin: what reaches the root per shard is a

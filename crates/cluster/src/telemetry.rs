@@ -20,7 +20,13 @@ pub const BUCKET_CAPACITY: usize = BUCKETS;
 
 /// A log-linear histogram of microsecond latencies (any u64 unit works;
 /// the cluster records µs).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Bucket storage grows on demand up to the highest bucket in use (never
+/// past [`BUCKET_CAPACITY`]): a run keeps many histograms, and µs
+/// latencies touch only the low few hundred of the 976 buckets.
+/// Equality ignores trailing zero buckets, so two histograms holding the
+/// same samples compare equal however each one was built.
+#[derive(Debug, Clone, Default)]
 pub struct LogHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -28,16 +34,16 @@ pub struct LogHistogram {
     sum: u64,
 }
 
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram {
-            buckets: vec![0; BUCKETS],
-            count: 0,
-            max: 0,
-            sum: 0,
-        }
+impl PartialEq for LogHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        let used = |b: &[u64]| b.len() - b.iter().rev().take_while(|&&c| c == 0).count();
+        let (a, b) = (&self.buckets, &other.buckets);
+        (self.count, self.max, self.sum) == (other.count, other.max, other.sum)
+            && a[..used(a)] == b[..used(b)]
     }
 }
+
+impl Eq for LogHistogram {}
 
 fn bucket_of(v: u64) -> usize {
     if v < SUB {
@@ -67,9 +73,17 @@ impl LogHistogram {
         Self::default()
     }
 
+    /// The counter of bucket `idx` (`< BUCKETS`), growing storage to it.
+    fn bucket_mut(&mut self, idx: usize) -> &mut u64 {
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, 0);
+        }
+        &mut self.buckets[idx]
+    }
+
     /// Records one value.
     pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] += 1;
+        *self.bucket_mut(bucket_of(v)) += 1;
         self.count += 1;
         self.max = self.max.max(v);
         self.sum = self.sum.saturating_add(v);
@@ -116,6 +130,9 @@ impl LogHistogram {
 
     /// Merges another histogram into this one (bucket-wise addition).
     pub fn merge(&mut self, other: &LogHistogram) {
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
@@ -140,7 +157,7 @@ impl LogHistogram {
         let mut h = Self::new();
         for &(i, c) in pairs {
             if i < BUCKETS {
-                h.buckets[i] += c;
+                *h.bucket_mut(i) += c;
                 h.count += c;
             }
         }
@@ -325,6 +342,38 @@ mod tests {
             top_h.merge(&shard_h);
         }
         assert_eq!(top_h, flat_h);
+    }
+
+    #[test]
+    fn storage_grows_to_the_highest_used_bucket_only() {
+        let mut h = LogHistogram::new();
+        assert!(h.buckets.is_empty());
+        h.record(1000);
+        assert_eq!(h.buckets.len(), bucket_of(1000) + 1);
+        h.record(3);
+        assert_eq!(h.buckets.len(), bucket_of(1000) + 1, "lower buckets fit");
+        h.record(u64::MAX);
+        assert_eq!(h.buckets.len(), BUCKET_CAPACITY, "capacity stays the bound");
+    }
+
+    #[test]
+    fn equality_ignores_trailing_zero_buckets() {
+        let mut a = LogHistogram::new();
+        a.record(5);
+        a.record(700);
+        // Same samples, but storage sized by a wide (empty-bucket) merge.
+        let mut wide = LogHistogram::new();
+        wide.buckets = vec![0; BUCKET_CAPACITY];
+        let mut b = LogHistogram::new();
+        b.merge(&wide);
+        b.record(700);
+        b.record(5);
+        assert_ne!(a.buckets.len(), b.buckets.len());
+        assert_eq!(a, b);
+        let back = LogHistogram::from_parts(&b.nonzero_buckets(), b.max(), b.sum());
+        assert_eq!(back, a);
+        b.record(6);
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -20,7 +20,7 @@ proptest! {
 
     /// Every generated message is delivered exactly once at its
     /// destination, whatever the schedule, topology, corruption, and
-    /// garbage.
+    /// garbage (on the wire, in buffers and in the choice queues).
     #[test]
     fn port_exactly_once(
         graph in arb_graph(),
@@ -28,7 +28,7 @@ proptest! {
         timeout_bias in 0.05f64..0.95,
         corrupt in any::<bool>(),
         wire_garbage in 0usize..16,
-        buffer_garbage in 0usize..3,
+        buffer_garbage in 0usize..6,
         sends in proptest::collection::vec((any::<u16>(), any::<u16>(), 0u64..8), 1..8),
     ) {
         let n = graph.n();
@@ -52,6 +52,36 @@ proptest! {
         let audit = net.audit();
         prop_assert_eq!(audit.lost, 0, "{:?}", audit);
         prop_assert_eq!(audit.duplicated, 0, "{:?}", audit);
+    }
+
+    /// The same under the distance-vector routing layer, whose garbage
+    /// estimates re-route offers that busy slots have already queued.
+    #[test]
+    fn port_exactly_once_dv(
+        graph in arb_graph(),
+        seed in any::<u64>(),
+        garbage_dv in any::<bool>(),
+        wire_garbage in 0usize..8,
+        buffer_garbage in 0usize..6,
+        sends in proptest::collection::vec((any::<u16>(), any::<u16>(), 0u64..8), 1..8),
+    ) {
+        let n = graph.n();
+        let mut net = PortNetwork::new_dv(
+            graph,
+            MpConfig { seed, timeout_bias: 0.3 },
+            garbage_dv,
+            wire_garbage,
+            buffer_garbage,
+        );
+        let ghosts: Vec<_> = sends
+            .iter()
+            .map(|&(s, d, p)| net.send(s as usize % n, d as usize % n, p))
+            .collect();
+        prop_assert!(net.run_to_quiescence(10_000_000), "port must drain");
+        for g in &ghosts {
+            prop_assert_eq!(net.deliveries_of(*g), 1, "{:?}", g);
+            prop_assert!(net.delivered_at_destination(*g));
+        }
     }
 
     /// Self-sends work in the port too.
