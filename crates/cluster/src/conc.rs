@@ -2,13 +2,13 @@
 //!
 //! Every thread role, cross-thread channel and blocking edge of
 //! `node.rs`/`orchestrator.rs`, declared as data for `ssmfp-lint`'s
-//! `conc-*` passes and for the debug-build runtime assertions. Bounds come
+//! `conc-*` passes and for the debug-build thread registry. Bounds come
 //! from the same [`ClusterTuning`] the running code consumes, so the
 //! declaration cannot drift from the implementation.
 //!
-//! ## The shape of the graph (PR 8: a control *tree*)
+//! ## The shape of the graph: a control tree
 //!
-//! Three roles, period:
+//! Three roles:
 //!
 //! * `orch.main` — the run driver. Spawns shard supervisors, distributes
 //!   `peers`/`start`/`stop` over per-shard socketpairs, and drains the
@@ -32,28 +32,40 @@
 //! write to untimed re-closes the old orchestrator cycle (a red test
 //! keeps that detection honest).
 //!
-//! No locks remain: the writer-stats mutex died with the blocking plane.
+//! There are no locks. [`SYNC_SITES`] lists the only places in
+//! `crates/cluster/src` and `crates/mp/src` allowed to name a
+//! thread/lock/channel primitive; the `conc-sites` lint fails on any
+//! other.
 //!
-//! ## The client layer adds no concurrency (PR 9)
+//! ## The client layer adds no concurrency
 //!
 //! [`crate::clients::ClientMux`] — up to millions of logical clients per
 //! node — is a plain struct owned by the `node.main` loop, polled
 //! between I/O bursts under the `client_send_budget` and fed by the same
-//! delivery vector the forwarder already fills. Re-deriving the model
-//! with it in place changes *nothing*: still three roles, zero locks,
-//! one channel. Session fan-in is a table walk inside an existing
-//! thread, not a queue between threads — a pin test holds the counts,
-//! and a red test in `ssmfp-lint` proves an undeclared `client.mux`
-//! channel would fail `conc-coverage` rather than ship silently.
+//! delivery vector the forwarder already fills. The model with it in
+//! place is still three roles and one channel. Session fan-in is a table
+//! walk inside an existing thread, not a queue between threads — a pin
+//! test holds the counts, and a red test in `ssmfp-lint` proves an
+//! undeclared `client.mux` channel would fail `conc-coverage` rather
+//! than ship silently.
 
 use crate::tuning::ClusterTuning;
 use ssmfp_core::conc::{
-    BlockingEdge, ChannelDecl, ConcModel, FullPolicy, Multiplicity, ThreadDecl, WaitPoint,
-    EXTERN_ROLE,
+    BlockingEdge, ChannelDecl, ConcModel, Multiplicity, ThreadDecl, WaitPoint, EXTERN_ROLE,
 };
 
 /// Component name under which cluster threads register.
 pub const COMPONENT: &str = "cluster";
+
+/// Source sites allowed to name a thread/lock/channel primitive, as
+/// `(path under crates/, token)`. `ssmfp-lint`'s `conc-sites` pass fails
+/// on every other occurrence in `crates/cluster/src` and `crates/mp/src`,
+/// and on any entry here that no longer matches a line.
+pub const SYNC_SITES: &[(&str, &str)] = &[
+    // The `orch.shard` channel: shard supervisors → orchestrator.
+    ("cluster/src/orchestrator.rs", "mpsc"),
+    ("cluster/src/orchestrator.rs", "sync_channel"),
+];
 
 /// Builds the declared model from the tuning the runtime actually uses.
 pub fn model(t: &ClusterTuning) -> ConcModel {
@@ -80,13 +92,11 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
                       the protocol engine, one thread total",
             },
         ],
-        locks: vec![],
         channels: vec![ChannelDecl {
             name: "orch.shard",
             senders: vec!["shard.super"],
             receiver: "orch.main",
-            bound: Some(t.orch_shard_queue),
-            policy: Some(FullPolicy::Block),
+            bound: t.orch_shard_queue,
             doc: "shard → orchestrator upstream: ready sets, merged status, shard reports",
         }],
         edges: vec![
@@ -96,31 +106,26 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
             BlockingEdge {
                 thread: "node.main",
                 waits: WaitPoint::SockRead("node.main"),
-                holding: vec![],
                 timed: true, // nonblocking reads behind the poll deadline
             },
             BlockingEdge {
                 thread: "node.main",
                 waits: WaitPoint::SockWrite("node.main"),
-                holding: vec![],
                 timed: true, // nonblocking writes, POLLOUT-driven retry
             },
             BlockingEdge {
                 thread: "node.main",
                 waits: WaitPoint::Accept("node.main"),
-                holding: vec![],
                 timed: true, // nonblocking accept on listener readiness
             },
             BlockingEdge {
                 thread: "node.main",
                 waits: WaitPoint::SockRead("shard.super"),
-                holding: vec![],
                 timed: true, // single-shot ctrl read behind the poll deadline
             },
             BlockingEdge {
                 thread: "node.main",
                 waits: WaitPoint::SockWrite("shard.super"),
-                holding: vec![],
                 timed: false, // status/report write_all — leaf edge of the control tree
             },
             // shard.super — polls node pipes and its orch socketpair;
@@ -128,38 +133,32 @@ pub fn model(t: &ClusterTuning) -> ConcModel {
             BlockingEdge {
                 thread: "shard.super",
                 waits: WaitPoint::SockRead("node.main"),
-                holding: vec![],
                 timed: true, // poll over node ctrl pipes with a deadline
             },
             BlockingEdge {
                 thread: "shard.super",
                 waits: WaitPoint::SockRead("orch.main"),
-                holding: vec![],
                 timed: true, // same poll set
             },
             BlockingEdge {
                 thread: "shard.super",
                 waits: WaitPoint::SockWrite("node.main"),
-                holding: vec![],
                 timed: true, // staged ctrl bytes, written on POLLOUT only
             },
             BlockingEdge {
                 thread: "shard.super",
                 waits: WaitPoint::ChanSend("orch.shard"),
-                holding: vec![],
                 timed: false, // upstream edge of the control tree
             },
             // orch.main
             BlockingEdge {
                 thread: "orch.main",
                 waits: WaitPoint::ChanRecv("orch.shard"),
-                holding: vec![],
                 timed: true, // recv_timeout against the run deadline
             },
             BlockingEdge {
                 thread: "orch.main",
                 waits: WaitPoint::SockWrite("shard.super"),
-                holding: vec![],
                 timed: true, // peers/start/stop, POLLOUT-gated with a deadline
             },
         ],
@@ -179,10 +178,7 @@ mod tests {
     #[test]
     fn declared_bounds_come_from_tuning() {
         let m = default_model();
-        assert_eq!(
-            m.channel_decl("orch.shard").bound,
-            Some(TUNING.orch_shard_queue)
-        );
+        assert_eq!(m.channel_decl("orch.shard").bound, TUNING.orch_shard_queue);
     }
 
     /// The single-thread node's data-plane waits are all timed — its one
@@ -202,21 +198,19 @@ mod tests {
                 );
             }
         }
-        // And the model shrank for real: exactly three roles, no locks.
+        // And the model shrank for real: exactly three roles.
         assert_eq!(m.threads.len(), 3);
-        assert!(m.locks.is_empty());
     }
 
     /// The client-mux design claim, pinned: multiplexing millions of
     /// logical clients changed the concurrency footprint not at all —
-    /// the same three roles, zero locks, and the single `orch.shard`
-    /// channel that PR 8 declared. If the mux ever grows a thread or a
-    /// queue, this count (and the model) must change together with it.
+    /// the same three roles and the single `orch.shard` channel (locks
+    /// are ruled out by the `conc-sites` lint). If the mux ever grows a
+    /// thread or a queue, this count (and the model) must change with it.
     #[test]
     fn client_mux_leaves_the_model_at_three_roles_no_locks_one_channel() {
         let m = default_model();
         assert_eq!(m.threads.len(), 3, "mux must not add thread roles");
-        assert!(m.locks.is_empty(), "mux must not add locks");
         assert_eq!(m.channels.len(), 1, "mux must not add channels");
         assert_eq!(m.channels[0].name, "orch.shard");
         assert!(
@@ -234,7 +228,6 @@ mod tests {
                 WaitPoint::ChanSend(c) | WaitPoint::ChanRecv(c) => {
                     assert!(m.channel(c).is_some(), "channel {c}");
                 }
-                WaitPoint::LockAcquire(l) => assert!(m.lock(l).is_some(), "lock {l}"),
                 WaitPoint::SockRead(p) | WaitPoint::SockWrite(p) | WaitPoint::Accept(p) => {
                     assert!(m.thread(p).is_some(), "peer role {p}");
                 }

@@ -6,10 +6,9 @@
 //! Module map:
 //! * [`frame`] — lossless bridge between the simulator's `WireMsg` and
 //!   the wire codec's `WireFrame`.
-//! * [`transport`] — socket-backed `ssmfp_mp::Transport` impls the shared
-//!   exactly-once suite runs against: [`transport::LoopbackTransport`]
-//!   (blocking reader threads) and [`transport::PolledTransport`] (the
-//!   event loop's readiness/coalescing building blocks).
+//! * [`transport`] — [`transport::PolledTransport`], the socket-backed
+//!   `ssmfp_mp::Transport` the shared exactly-once suite runs against,
+//!   built from the event loop's readiness/coalescing building blocks.
 //! * [`chaos`] — socket-level fault shim (drop/duplicate/reorder budgets
 //!   plus one partition/heal cycle), sharing the simulator's
 //!   `FaultClerk` decision procedure.
@@ -35,9 +34,9 @@
 //! * [`telemetry`] — log-bucketed latency histograms and counters.
 //! * [`tuning`] — every runtime knob in one documented [`ClusterTuning`]
 //!   struct, consumed by both the running code and the declared model.
-//! * [`conc`] — the declared concurrency model (thread roles, lock ranks,
-//!   channel bounds, blocking edges) feeding `ssmfp-lint`'s `conc-*`
-//!   passes and the debug-build runtime assertions.
+//! * [`conc`] — the declared concurrency model (thread roles, channel
+//!   bounds, blocking edges) and the table of allowed sync sites, feeding
+//!   `ssmfp-lint`'s `conc-*` passes and the debug-build thread registry.
 
 pub mod chaos;
 pub mod clients;
@@ -60,6 +59,6 @@ pub use orchestrator::{
     shard_ranges, ClusterSpec, RunMode, RunReport, ShardReport, ShardStatus, ShardSummary,
 };
 pub use telemetry::{LogHistogram, NodeCounters};
-pub use transport::{LoopbackTransport, PolledTransport};
+pub use transport::PolledTransport;
 pub use tuning::{ClusterTuning, TUNING};
 pub use workload::{is_ack_ghost, WorkloadGen, WorkloadKind, WorkloadSpec};

@@ -40,7 +40,7 @@ use crate::tuning::TUNING;
 use crate::workload::{is_ack_ghost, WorkloadKind, WorkloadSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use ssmfp_core::conc::{register_thread, spawn_registered, tracked_channel, TrackedSender};
+use ssmfp_core::conc::{register_thread, spawn_registered};
 use ssmfp_core::{reconcile_clients, reconcile_ledgers, ClientVerdict, ClusterVerdict, NodeLedger};
 use ssmfp_mp::{decode_client_ghost, MpGhost};
 use ssmfp_topology::{Graph, NodeId};
@@ -50,7 +50,7 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -778,7 +778,7 @@ fn shard_main(
     cfgs: Vec<NodeConfig>,
     mode: RunMode,
     orch: UnixStream,
-    up: TrackedSender<(usize, ShardUp)>,
+    up: SyncSender<(usize, ShardUp)>,
 ) {
     register_thread(COMPONENT, "shard.super");
     let send_up = |msg: ShardUp| {
@@ -1234,7 +1234,6 @@ fn drive(
 /// Runs a cluster to convergence (or timeout) and reconciles the ledgers.
 pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     register_thread(COMPONENT, "orch.main");
-    let model = crate::conc::model(&TUNING);
     let n = spec.graph.n();
     let ranges = shard_ranges(n, spec.shards);
     let k = ranges.len();
@@ -1243,8 +1242,8 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<RunReport> {
     // before 100 nodes.
     raise_nofile_limit((4 * spec.graph.edges().len() + 6 * n + 8 * k + 64) as u64);
 
-    let (up_tx, up_rx, _up_stats) =
-        tracked_channel::<(usize, ShardUp)>(COMPONENT, model.channel_decl("orch.shard"));
+    let bound = crate::conc::model(&TUNING).channel_decl("orch.shard").bound;
+    let (up_tx, up_rx) = sync_channel::<(usize, ShardUp)>(bound);
     let mut pipes: Vec<UnixStream> = Vec::with_capacity(k);
     let mut joins: Vec<JoinHandle<()>> = Vec::with_capacity(k);
     for (s, range) in ranges.iter().enumerate() {

@@ -1,10 +1,10 @@
 //! Every tunable constant of the cluster runtime in one documented place.
 //!
-//! PR 5 scattered these across `node.rs` and `orchestrator.rs` as bare
-//! `const`s; now that the channel bounds are *declared* in the concurrency
-//! model ([`crate::conc::model`]) and lint-gated, the declaration and the
-//! running code must come from the same struct so they cannot drift. The
-//! runtime consumes [`TUNING`]; so does the model builder.
+//! The channel bound is *declared* in the concurrency model
+//! ([`crate::conc::model`]) and the orchestrator builds its channel from
+//! that declaration, so the declaration and the running code come from
+//! the same struct and cannot drift. The runtime consumes [`TUNING`]; so
+//! does the model builder.
 
 use std::time::Duration;
 

@@ -45,10 +45,9 @@
 //!   for the link-crossing traffic (handshake, routing advertisements,
 //!   supervision), with a total decoder and the tag/event-kind surface
 //!   `ssmfp-lint`'s `wire-coverage` lint audits.
-//! * [`conc`] — declared concurrency footprints (thread roles, lock ranks,
-//!   channel bounds, blocking edges) for the runtime layers, with the
-//!   debug-build `TrackedMutex`/`TrackedChannel` instrumentation and the
-//!   thread registry backing `ssmfp-lint`'s `conc-*` passes.
+//! * [`conc`] — declared concurrency footprints (thread roles, channel
+//!   bounds, blocking edges) for the cluster runtime, with the
+//!   debug-build thread registry backing `ssmfp-lint`'s `conc-*` passes.
 
 pub mod api;
 pub mod baseline;
@@ -76,9 +75,8 @@ pub use codec::{
     NO_MESSAGE,
 };
 pub use conc::{
-    observed_threads, register_thread, registered_thread_count, spawn_registered, tracked_channel,
-    BlockingEdge, ChannelDecl, ChannelStats, ConcModel, FullPolicy, LockDecl, Multiplicity,
-    SendOutcome, ThreadDecl, TrackedMutex, TrackedSender, WaitPoint, EXTERN_ROLE,
+    observed_threads, register_thread, registered_thread_count, spawn_registered, BlockingEdge,
+    ChannelDecl, ConcModel, Multiplicity, ThreadDecl, WaitPoint, EXTERN_ROLE,
 };
 pub use faults::{
     BufSel, Fault, FaultCursor, FaultInjector, FaultKind, FaultPlan, FaultPlanConfig, SeededBug,

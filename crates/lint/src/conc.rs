@@ -1,41 +1,50 @@
-//! The `conc-*` lint family: static analyses over declared concurrency
-//! models ([`ssmfp_core::conc::ConcModel`]).
-//!
-//! The runtime layers (`crates/cluster`, `crates/mp`) declare their
-//! thread roles, lock ranks, channel bounds and blocking edges; these
-//! passes check the declarations the same way the footprint passes check
-//! the protocol rules:
+//! The `conc-*` lint family: checks over the cluster's declared
+//! concurrency model ([`ssmfp_core::conc::ConcModel`]) and over the
+//! runtime crates' source.
 //!
 //! * **`conc-coverage`** — referential integrity: every name an edge or
 //!   channel mentions is declared, no duplicates, every spawner is a
 //!   declared role (or `extern`). The *runtime* half — every observed
 //!   thread appears in the model — runs in the debug-build test suites
 //!   via [`ssmfp_core::conc::ConcModel::undeclared_observed`].
-//! * **`conc-unbounded`** — every cross-thread channel declares a bound
-//!   and a full-queue policy. An unbounded queue is an unbounded memory
-//!   and latency liability that also hides from the deadlock analysis.
-//! * **`conc-hold-across-block`** — no declared edge blocks on a
-//!   socket/queue/accept while holding a lock. Lock acquisitions
-//!   themselves are governed by rank order instead.
-//! * **`conc-deadlock`** — two checks over the declared graph. First,
-//!   lock-rank inversions: an edge acquiring a lock whose rank is not
-//!   strictly above every lock it holds. Second, circular waits: a
-//!   wait-for graph is built from the *untimed* edges (a timed wait
-//!   cannot wedge), resolving each wait to the roles that can unblock it
-//!   — a full-channel send waits for the receiver, an empty-channel
-//!   receive waits for the senders, a socket operation waits for the
-//!   peer role, a lock waits for every role that blocks while holding
-//!   it. Elementary cycles are reported as violations, except cycles
-//!   that wait on both the *full* and the *empty* side of one FIFO
-//!   resource: a queue (or socket buffer) cannot be simultaneously full
-//!   and empty, so such a cycle is infeasible. (The prune reasons about
-//!   one resource instance; it is sound for this model because full- and
-//!   empty-waits of each resource pair off per connection/queue
-//!   instance.)
+//! * **`conc-deadlock`** — circular waits: a wait-for graph is built from
+//!   the *untimed* edges (a timed wait cannot wedge), resolving each wait
+//!   to the roles that can unblock it — a full-channel send waits for the
+//!   receiver, an empty-channel receive waits for the senders, a socket
+//!   operation waits for the peer role. Every elementary cycle is a
+//!   violation.
+//! * **`conc-sites`** — the model can only vouch for the concurrency the
+//!   source actually has. This pass reads every `.rs` under
+//!   [`SCANNED_DIRS`] and fails on each thread/lock/channel primitive
+//!   ([`SYNC_TOKENS`]) outside the sites the cluster declares
+//!   (`ssmfp_cluster::conc::SYNC_SITES`). `//` comments and the contents
+//!   of string and char literals are not code and are skipped. A missing
+//!   source directory, or a declared site that matches nothing, is a
+//!   violation too: the pass never passes by not looking.
 
 use crate::{push, LintReport, Severity};
-use ssmfp_core::conc::{ConcModel, FullPolicy, WaitPoint, EXTERN_ROLE};
+use ssmfp_core::conc::{ConcModel, WaitPoint, EXTERN_ROLE};
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
+
+/// The workspace's `crates/` directory, which [`SCANNED_DIRS`] and the
+/// declared sites are relative to.
+pub const CRATES_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/..");
+
+/// Source directories `conc-sites` scans, relative to `crates/`.
+pub const SCANNED_DIRS: &[&str] = &["cluster/src", "mp/src"];
+
+/// The primitives `conc-sites` looks for (substring match on code).
+pub const SYNC_TOKENS: &[&str] = &[
+    "Mutex",
+    "RwLock",
+    "Condvar",
+    "mpsc",
+    "sync_channel",
+    "thread::spawn",
+    "thread::Builder",
+    "thread::scope",
+];
 
 /// Summary of one analyzed component, carried in the JSON report.
 #[derive(Debug, Clone)]
@@ -44,8 +53,6 @@ pub struct ConcComponentSummary {
     pub component: String,
     /// Declared thread roles.
     pub threads: usize,
-    /// Declared locks.
-    pub locks: usize,
     /// Declared channels.
     pub channels: usize,
     /// Declared blocking edges.
@@ -54,20 +61,21 @@ pub struct ConcComponentSummary {
     pub untimed_edges: usize,
 }
 
-/// Runs every `conc-*` pass over one model.
+/// Runs the model passes (`conc-coverage`, `conc-deadlock`) over one model.
 pub fn lint_conc_model(model: &ConcModel, report: &mut LintReport) {
     report.conc.push(ConcComponentSummary {
         component: model.component.to_string(),
         threads: model.threads.len(),
-        locks: model.locks.len(),
         channels: model.channels.len(),
         edges: model.edges.len(),
         untimed_edges: model.edges.iter().filter(|e| !e.timed).count(),
     });
     lint_conc_coverage(model, report);
-    lint_conc_unbounded(model, report);
-    lint_conc_hold_across_block(model, report);
     lint_conc_deadlock(model, report);
+}
+
+fn violation(report: &mut LintReport, code: &'static str, message: String) {
+    push(report, Severity::Violation, code, message);
 }
 
 /// `conc-coverage`: the declaration is internally closed.
@@ -76,17 +84,15 @@ pub fn lint_conc_coverage(model: &ConcModel, report: &mut LintReport) {
     let mut seen = BTreeSet::new();
     for t in &model.threads {
         if !seen.insert(t.role) {
-            push(
+            violation(
                 report,
-                Severity::Violation,
                 "conc-coverage",
                 format!("{comp}: thread role `{}` is declared twice", t.role),
             );
         }
         if t.spawned_by != EXTERN_ROLE && model.thread(t.spawned_by).is_none() {
-            push(
+            violation(
                 report,
-                Severity::Violation,
                 "conc-coverage",
                 format!(
                     "{comp}: thread role `{}` is spawned by `{}`, which is not a declared role \
@@ -97,31 +103,18 @@ pub fn lint_conc_coverage(model: &ConcModel, report: &mut LintReport) {
         }
     }
     let mut seen = BTreeSet::new();
-    for l in &model.locks {
-        if !seen.insert(l.name) {
-            push(
-                report,
-                Severity::Violation,
-                "conc-coverage",
-                format!("{comp}: lock `{}` is declared twice", l.name),
-            );
-        }
-    }
-    let mut seen = BTreeSet::new();
     for c in &model.channels {
         if !seen.insert(c.name) {
-            push(
+            violation(
                 report,
-                Severity::Violation,
                 "conc-coverage",
                 format!("{comp}: channel `{}` is declared twice", c.name),
             );
         }
         for role in c.senders.iter().chain(std::iter::once(&c.receiver)) {
             if model.thread(role).is_none() {
-                push(
+                violation(
                     report,
-                    Severity::Violation,
                     "conc-coverage",
                     format!(
                         "{comp}: channel `{}` names role `{role}`, which is not declared",
@@ -133,9 +126,8 @@ pub fn lint_conc_coverage(model: &ConcModel, report: &mut LintReport) {
     }
     for e in &model.edges {
         if model.thread(e.thread).is_none() {
-            push(
+            violation(
                 report,
-                Severity::Violation,
                 "conc-coverage",
                 format!(
                     "{comp}: a blocking edge belongs to `{}`, which is not a declared role",
@@ -143,58 +135,20 @@ pub fn lint_conc_coverage(model: &ConcModel, report: &mut LintReport) {
                 ),
             );
         }
-        for h in &e.holding {
-            if model.lock(h).is_none() {
-                push(
-                    report,
-                    Severity::Violation,
-                    "conc-coverage",
-                    format!(
-                        "{comp}: `{}` holds undeclared lock `{h}` across a blocking edge",
-                        e.thread
-                    ),
-                );
-            }
-        }
         match e.waits {
             WaitPoint::ChanSend(c) | WaitPoint::ChanRecv(c) => {
                 if model.channel(c).is_none() {
-                    push(
+                    violation(
                         report,
-                        Severity::Violation,
                         "conc-coverage",
                         format!("{comp}: `{}` blocks on undeclared channel `{c}`", e.thread),
-                    );
-                } else if matches!(e.waits, WaitPoint::ChanSend(_))
-                    && model.channel(c).and_then(|d| d.policy) == Some(FullPolicy::Shed)
-                {
-                    push(
-                        report,
-                        Severity::Warning,
-                        "conc-coverage",
-                        format!(
-                            "{comp}: `{}` declares a blocking send on `{c}`, but that channel \
-                             sheds when full and can never block a sender — stale edge",
-                            e.thread
-                        ),
-                    );
-                }
-            }
-            WaitPoint::LockAcquire(l) => {
-                if model.lock(l).is_none() {
-                    push(
-                        report,
-                        Severity::Violation,
-                        "conc-coverage",
-                        format!("{comp}: `{}` blocks on undeclared lock `{l}`", e.thread),
                     );
                 }
             }
             WaitPoint::SockRead(p) | WaitPoint::SockWrite(p) | WaitPoint::Accept(p) => {
                 if model.thread(p).is_none() {
-                    push(
+                    violation(
                         report,
-                        Severity::Violation,
                         "conc-coverage",
                         format!(
                             "{comp}: `{}` waits on peer role `{p}`, which is not declared",
@@ -207,202 +161,32 @@ pub fn lint_conc_coverage(model: &ConcModel, report: &mut LintReport) {
     }
 }
 
-/// `conc-unbounded`: every channel declares a bound and a policy.
-pub fn lint_conc_unbounded(model: &ConcModel, report: &mut LintReport) {
-    for c in &model.channels {
-        if c.bound.is_none() {
-            push(
-                report,
-                Severity::Violation,
-                "conc-unbounded",
-                format!(
-                    "{}: channel `{}` declares no bound — every cross-thread channel must be \
-                     bounded (unbounded queues hide from the deadlock analysis and are an \
-                     unbounded memory/latency liability)",
-                    model.component, c.name
-                ),
-            );
-        }
-        if c.policy.is_none() {
-            push(
-                report,
-                Severity::Violation,
-                "conc-unbounded",
-                format!(
-                    "{}: channel `{}` declares no full-queue policy — say whether a full queue \
-                     blocks the sender (counted backpressure) or sheds the message",
-                    model.component, c.name
-                ),
-            );
-        }
-    }
-}
-
-/// `conc-hold-across-block`: no lock held across a socket/queue wait.
-pub fn lint_conc_hold_across_block(model: &ConcModel, report: &mut LintReport) {
-    for e in &model.edges {
-        if e.holding.is_empty() || matches!(e.waits, WaitPoint::LockAcquire(_)) {
-            continue;
-        }
-        push(
-            report,
-            Severity::Violation,
-            "conc-hold-across-block",
-            format!(
-                "{}: `{}` holds {:?} across a {} — a lock held across a blocking I/O or queue \
-                 wait stalls every contender for as long as the peer takes",
-                model.component,
-                e.thread,
-                e.holding,
-                e.waits.describe()
-            ),
-        );
-    }
-}
-
-/// Polarity of a wait on a FIFO resource, for the full+empty prune rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Polarity {
-    /// Waiting for space (send on full queue, write to full buffer).
-    Full,
-    /// Waiting for data (receive on empty queue, read from empty buffer).
-    Empty,
-    /// Lock waits have no pairing polarity.
-    Lock,
-}
-
-#[derive(Debug, Clone)]
+/// One wait-for arc: role `from` is blocked until role `to` acts.
 struct WaitArc {
     from: &'static str,
     to: &'static str,
-    resource: String,
-    polarity: Polarity,
     label: String,
 }
 
-fn sock_resource(a: &str, b: &str) -> String {
-    if a <= b {
-        format!("sock:{a}<->{b}")
-    } else {
-        format!("sock:{b}<->{a}")
-    }
-}
-
-/// `conc-deadlock`: rank inversions + circular waits.
+/// `conc-deadlock`: circular waits over the untimed edges.
 pub fn lint_conc_deadlock(model: &ConcModel, report: &mut LintReport) {
-    // Lock-rank inversions (checked on every edge, timed or not: an
-    // out-of-order acquisition is wrong even under a deadline).
-    for e in &model.edges {
-        if let WaitPoint::LockAcquire(l) = e.waits {
-            let Some(target) = model.lock(l) else {
-                continue;
-            };
-            if e.holding.contains(&l) {
-                push(
-                    report,
-                    Severity::Violation,
-                    "conc-deadlock",
-                    format!(
-                        "{}: `{}` acquires lock `{l}` while already holding it — self-deadlock",
-                        model.component, e.thread
-                    ),
-                );
-                continue;
-            }
-            for h in &e.holding {
-                let Some(held) = model.lock(h) else { continue };
-                if held.rank >= target.rank {
-                    push(
-                        report,
-                        Severity::Violation,
-                        "conc-deadlock",
-                        format!(
-                            "{}: `{}` acquires lock `{l}` (rank {}) while holding `{h}` (rank \
-                             {}) — the declared acquisition order is strictly increasing rank",
-                            model.component, e.thread, target.rank, held.rank
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // Wait-for graph over the untimed edges.
     let mut arcs: Vec<WaitArc> = Vec::new();
     for e in model.edges.iter().filter(|e| !e.timed) {
         let label = format!("{} {}", e.thread, e.waits.describe());
-        match e.waits {
-            WaitPoint::ChanSend(c) => {
-                let Some(decl) = model.channel(c) else {
-                    continue;
-                };
-                // A shedding channel never blocks its senders.
-                if decl.policy == Some(FullPolicy::Shed) {
-                    continue;
-                }
-                arcs.push(WaitArc {
-                    from: e.thread,
-                    to: decl.receiver,
-                    resource: format!("chan:{c}"),
-                    polarity: Polarity::Full,
-                    label: label.clone(),
-                });
-            }
-            WaitPoint::ChanRecv(c) => {
-                let Some(decl) = model.channel(c) else {
-                    continue;
-                };
-                for &s in &decl.senders {
-                    arcs.push(WaitArc {
-                        from: e.thread,
-                        to: s,
-                        resource: format!("chan:{c}"),
-                        polarity: Polarity::Empty,
-                        label: label.clone(),
-                    });
-                }
-            }
-            WaitPoint::LockAcquire(l) => {
-                // Unblocked by whoever can be blocked while holding it; a
-                // holder that only blocks under a deadline releases in
-                // bounded time and creates no wait-for edge.
-                let holders: BTreeSet<&'static str> = model
-                    .edges
-                    .iter()
-                    .filter(|h| !h.timed && h.holding.contains(&l) && h.thread != e.thread)
-                    .map(|h| h.thread)
-                    .collect();
-                for to in holders {
-                    arcs.push(WaitArc {
-                        from: e.thread,
-                        to,
-                        resource: format!("lock:{l}"),
-                        polarity: Polarity::Lock,
-                        label: label.clone(),
-                    });
-                }
-            }
-            WaitPoint::SockRead(p) => arcs.push(WaitArc {
+        let unblockers: Vec<&'static str> = match e.waits {
+            WaitPoint::ChanSend(c) => model.channel(c).map(|d| d.receiver).into_iter().collect(),
+            WaitPoint::ChanRecv(c) => model
+                .channel(c)
+                .map(|d| d.senders.clone())
+                .unwrap_or_default(),
+            WaitPoint::SockRead(p) | WaitPoint::SockWrite(p) | WaitPoint::Accept(p) => vec![p],
+        };
+        for to in unblockers {
+            arcs.push(WaitArc {
                 from: e.thread,
-                to: p,
-                resource: sock_resource(e.thread, p),
-                polarity: Polarity::Empty,
+                to,
                 label: label.clone(),
-            }),
-            WaitPoint::SockWrite(p) => arcs.push(WaitArc {
-                from: e.thread,
-                to: p,
-                resource: sock_resource(e.thread, p),
-                polarity: Polarity::Full,
-                label: label.clone(),
-            }),
-            WaitPoint::Accept(p) => arcs.push(WaitArc {
-                from: e.thread,
-                to: p,
-                resource: format!("accept:{}<-{p}", e.thread),
-                polarity: Polarity::Empty,
-                label: label.clone(),
-            }),
+            });
         }
     }
 
@@ -424,23 +208,19 @@ pub fn lint_conc_deadlock(model: &ConcModel, report: &mut LintReport) {
             &mut path,
             &mut on_path,
             &mut |cycle: &[&WaitArc]| {
-                if !feasible(cycle) {
-                    return;
-                }
                 let desc = cycle
                     .iter()
                     .map(|a| a.label.as_str())
                     .collect::<Vec<_>>()
                     .join("; ");
                 if reported.insert(desc.clone()) {
-                    push(
+                    violation(
                         report,
-                        Severity::Violation,
                         "conc-deadlock",
                         format!(
                             "{}: circular wait — {desc} — every thread in the cycle waits on \
-                             the next with no deadline; break the cycle with a bound policy, a \
-                             timeout, or a re-layered resource",
+                             the next with no deadline; break the cycle with a timeout or a \
+                             re-layered resource",
                             model.component
                         ),
                     );
@@ -448,21 +228,6 @@ pub fn lint_conc_deadlock(model: &ConcModel, report: &mut LintReport) {
             },
         );
     }
-}
-
-/// The full+empty prune: a cycle needing one FIFO resource to be both
-/// full and empty at once cannot happen.
-fn feasible(cycle: &[&WaitArc]) -> bool {
-    for a in cycle {
-        if a.polarity == Polarity::Full
-            && cycle
-                .iter()
-                .any(|b| b.resource == a.resource && b.polarity == Polarity::Empty)
-        {
-            return false;
-        }
-    }
-    true
 }
 
 fn dfs_cycles<'a>(
@@ -491,12 +256,173 @@ fn dfs_cycles<'a>(
     on_path.remove(at);
 }
 
+/// `conc-sites` over the tree rooted at `crates_dir`: loads every `.rs`
+/// under [`SCANNED_DIRS`] and runs [`scan_sync_sites`]. A missing or
+/// empty directory is a violation. Returns the number of files scanned.
+pub fn lint_conc_sites(
+    crates_dir: &Path,
+    sites: &[(&str, &str)],
+    report: &mut LintReport,
+) -> usize {
+    let mut files: Vec<(String, String)> = Vec::new();
+    for dir in SCANNED_DIRS {
+        let before = files.len();
+        if let Err(e) = collect_rs(crates_dir, dir, &mut files) {
+            violation(
+                report,
+                "conc-sites",
+                format!("cannot read source directory `{dir}`: {e}"),
+            );
+        } else if files.len() == before {
+            violation(
+                report,
+                "conc-sites",
+                format!("source directory `{dir}` holds no `.rs` files"),
+            );
+        }
+    }
+    scan_sync_sites(&files, sites, report);
+    files.len()
+}
+
+/// Appends `(path relative to root, text)` for every `.rs` under
+/// `root/rel`, recursively, in sorted order.
+fn collect_rs(root: &Path, rel: &str, out: &mut Vec<(String, String)>) -> std::io::Result<()> {
+    let mut entries: Vec<_> = std::fs::read_dir(root.join(rel))?
+        .collect::<std::io::Result<Vec<_>>>()?
+        .into_iter()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    for name in entries {
+        let child = format!("{rel}/{name}");
+        let path = root.join(&child);
+        if path.is_dir() {
+            collect_rs(root, &child, out)?;
+        } else if name.ends_with(".rs") {
+            out.push((child, std::fs::read_to_string(&path)?));
+        }
+    }
+    Ok(())
+}
+
+/// The scanner behind `conc-sites`, over `(path, text)` pairs: every
+/// [`SYNC_TOKENS`] occurrence in code that `sites` does not allow for its
+/// file is a violation, and so is every site that matches no line.
+pub fn scan_sync_sites(
+    files: &[(String, String)],
+    sites: &[(&str, &str)],
+    report: &mut LintReport,
+) {
+    let mut used: BTreeSet<(&str, &str)> = BTreeSet::new();
+    for (file, text) in files {
+        for (n, line) in code_lines(text).iter().enumerate() {
+            for &token in SYNC_TOKENS.iter().filter(|t| line.contains(*t)) {
+                match sites.iter().find(|&&(f, t)| f == file && t == token) {
+                    Some(&site) => {
+                        used.insert(site);
+                    }
+                    None => violation(
+                        report,
+                        "conc-sites",
+                        format!(
+                            "{file}:{}: `{token}` outside the declared sync sites — the \
+                             runtime crates are lock-free with one declared channel; declare \
+                             a new site in `cluster::conc::SYNC_SITES` (and the model) first",
+                            n + 1
+                        ),
+                    ),
+                }
+            }
+        }
+    }
+    for &(file, token) in sites {
+        if !used.contains(&(file, token)) {
+            violation(
+                report,
+                "conc-sites",
+                format!("declared sync site `{token}` in {file} matches no line — stale entry"),
+            );
+        }
+    }
+}
+
+/// Where the scanner is inside a literal that spans lines.
+#[derive(Clone, Copy)]
+enum Lit {
+    Code,
+    Str,
+    /// A raw string closed by `"` plus this many `#`.
+    Raw(usize),
+}
+
+/// The code of each line of `text`: `//` comments dropped and the
+/// contents of string and char literals removed, so a primitive named in
+/// prose or in a message does not count as a use. Block comments are not
+/// special-cased (a token in one fails loudly rather than hiding).
+fn code_lines(text: &str) -> Vec<String> {
+    let mut state = Lit::Code;
+    let mut out = Vec::new();
+    for line in text.lines() {
+        let c: Vec<char> = line.chars().collect();
+        let at = |i: usize| c.get(i).copied().unwrap_or('\0');
+        let mut code = String::new();
+        let mut i = 0;
+        while i < c.len() {
+            match state {
+                Lit::Str => {
+                    match c[i] {
+                        '\\' => i += 1,
+                        '"' => state = Lit::Code,
+                        _ => {}
+                    }
+                    i += 1;
+                }
+                Lit::Raw(hashes) => {
+                    if c[i] == '"' && (1..=hashes).all(|k| at(i + k) == '#') {
+                        state = Lit::Code;
+                        i += hashes;
+                    }
+                    i += 1;
+                }
+                Lit::Code => {
+                    let ident_before = i > 0 && (c[i - 1].is_alphanumeric() || c[i - 1] == '_');
+                    match c[i] {
+                        '/' if at(i + 1) == '/' => break,
+                        '"' => state = Lit::Str,
+                        'r' if !ident_before || c[i - 1] == 'b' => {
+                            let hashes = c[i + 1..].iter().take_while(|&&h| h == '#').count();
+                            if at(i + 1 + hashes) == '"' {
+                                state = Lit::Raw(hashes);
+                                i += 1 + hashes;
+                            } else {
+                                code.push('r');
+                            }
+                        }
+                        // A char literal (`'x'`, `'\n'`, `'"'`); any other
+                        // quote is a lifetime and stays code.
+                        '\'' if at(i + 1) == '\\' => {
+                            i += 3;
+                            while i < c.len() && c[i] != '\'' {
+                                i += 1;
+                            }
+                        }
+                        '\'' if at(i + 2) == '\'' => i += 2,
+                        ch => code.push(ch),
+                    }
+                    i += 1;
+                }
+            }
+        }
+        out.push(code);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssmfp_core::conc::{
-        BlockingEdge, ChannelDecl, ConcModel, LockDecl, Multiplicity, ThreadDecl,
-    };
+    use ssmfp_core::conc::{BlockingEdge, ChannelDecl, ConcModel, Multiplicity, ThreadDecl};
 
     fn thread(role: &'static str) -> ThreadDecl {
         ThreadDecl {
@@ -507,73 +433,126 @@ mod tests {
         }
     }
 
-    fn codes(report: &LintReport) -> Vec<&'static str> {
-        report.findings.iter().map(|f| f.code).collect()
+    fn scan(files: &[(&str, &str)], sites: &[(&str, &str)]) -> LintReport {
+        let files: Vec<(String, String)> = files
+            .iter()
+            .map(|&(f, t)| (f.to_string(), t.to_string()))
+            .collect();
+        let mut report = LintReport::default();
+        scan_sync_sites(&files, sites, &mut report);
+        report
     }
 
     #[test]
     fn shipped_conc_models_are_clean() {
-        for model in crate::default_conc_models() {
-            let mut report = LintReport::default();
-            lint_conc_model(&model, &mut report);
+        let model = ssmfp_cluster::conc::default_model();
+        let mut report = LintReport::default();
+        lint_conc_model(&model, &mut report);
+        let scanned = lint_conc_sites(
+            Path::new(CRATES_DIR),
+            ssmfp_cluster::conc::SYNC_SITES,
+            &mut report,
+        );
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        assert!(scanned >= 10, "only {scanned} source files scanned");
+        let summary = &report.conc[0];
+        assert_eq!(
+            (summary.threads, summary.channels, summary.untimed_edges),
+            (3, 1, 2)
+        );
+    }
+
+    #[test]
+    fn planted_mutex_in_a_cluster_file_fails_conc_sites() {
+        let report = scan(
+            &[(
+                "cluster/src/node.rs",
+                "use std::io;\nstatic STATS: std::sync::Mutex<u64> = std::sync::Mutex::new(0);\n",
+            )],
+            &[],
+        );
+        assert!(
+            report.violations().any(|f| f.code == "conc-sites"
+                && f.message.contains("cluster/src/node.rs:2")
+                && f.message.contains("`Mutex`")),
+            "{:?}",
+            report.findings
+        );
+    }
+
+    #[test]
+    fn undeclared_mpsc_in_an_mp_file_fails_conc_sites() {
+        // The orchestrator's declared channel does not license one in mp.
+        let report = scan(
+            &[
+                (
+                    "cluster/src/orchestrator.rs",
+                    "use std::sync::mpsc::Receiver;\n",
+                ),
+                (
+                    "mp/src/net.rs",
+                    "let (tx, rx) = std::sync::mpsc::channel();\n",
+                ),
+            ],
+            &[("cluster/src/orchestrator.rs", "mpsc")],
+        );
+        let msgs: Vec<&str> = report.violations().map(|f| f.message.as_str()).collect();
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(msgs[0].starts_with("mp/src/net.rs:1: `mpsc`"), "{msgs:?}");
+    }
+
+    #[test]
+    fn tokens_in_comments_and_literals_do_not_fail_conc_sites() {
+        let report = scan(
+            &[(
+                "cluster/src/node.rs",
+                "// a Mutex here would be wrong\n\
+                 //! thread::spawn, mpsc, RwLock, Condvar\n\
+                 let x = 1; // sync_channel\n\
+                 let s = \"no Mutex, \\\" no mpsc\";\n\
+                 let q = '\"'; let r = r#\"sync_channel \"# ;\n\
+                 fn f<'a>(x: &'a str) {}\n",
+            )],
+            &[],
+        );
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        // …while code right after a char literal is still code.
+        let report = scan(
+            &[(
+                "cluster/src/node.rs",
+                "let q = s.replace('\"', \"'\"); let m = Mutex::new(q);\n",
+            )],
+            &[],
+        );
+        assert_eq!(report.violations().count(), 1, "{:?}", report.findings);
+    }
+
+    #[test]
+    fn missing_source_directory_fails_conc_sites() {
+        let mut report = LintReport::default();
+        let scanned = lint_conc_sites(&Path::new(CRATES_DIR).join("no-such-dir"), &[], &mut report);
+        assert_eq!(scanned, 0);
+        for dir in SCANNED_DIRS {
             assert!(
-                report.findings.is_empty(),
-                "{}: {:?}",
-                model.component,
+                report
+                    .violations()
+                    .any(|f| f.code == "conc-sites" && f.message.contains(dir)),
+                "{dir}: {:?}",
                 report.findings
             );
         }
     }
 
     #[test]
-    fn planted_lock_cycle_is_caught() {
-        // Classic AB/BA: t1 takes `a` then `b`, t2 takes `b` then `a`.
-        let model = ConcModel {
-            component: "red",
-            threads: vec![thread("t1"), thread("t2")],
-            locks: vec![
-                LockDecl {
-                    name: "a",
-                    rank: 1,
-                    doc: "test",
-                },
-                LockDecl {
-                    name: "b",
-                    rank: 2,
-                    doc: "test",
-                },
-            ],
-            channels: vec![],
-            edges: vec![
-                BlockingEdge {
-                    thread: "t1",
-                    waits: WaitPoint::LockAcquire("b"),
-                    holding: vec!["a"],
-                    timed: false,
-                },
-                BlockingEdge {
-                    thread: "t2",
-                    waits: WaitPoint::LockAcquire("a"),
-                    holding: vec!["b"],
-                    timed: false,
-                },
-            ],
-        };
-        let mut report = LintReport::default();
-        lint_conc_deadlock(&model, &mut report);
-        // t2's acquisition inverts the rank order…
-        assert!(
-            report
-                .violations()
-                .any(|f| f.code == "conc-deadlock" && f.message.contains("rank")),
-            "{:?}",
-            report.findings
+    fn stale_sync_site_fails_conc_sites() {
+        let report = scan(
+            &[("cluster/src/orchestrator.rs", "fn main() {}\n")],
+            &[("cluster/src/orchestrator.rs", "mpsc")],
         );
-        // …and the wait-for graph has the t1 ⇄ t2 cycle.
         assert!(
             report
                 .violations()
-                .any(|f| f.code == "conc-deadlock" && f.message.contains("circular wait")),
+                .any(|f| f.code == "conc-sites" && f.message.contains("stale entry")),
             "{:?}",
             report.findings
         );
@@ -581,41 +560,28 @@ mod tests {
 
     #[test]
     fn planted_channel_send_cycle_is_caught() {
-        // Two bounded Block channels in a ring: both senders can be stuck
-        // on a full queue whose receiver is the other stuck sender.
+        // Two bounded channels in a ring: both senders can be stuck on a
+        // full queue whose receiver is the other stuck sender.
+        let chan = |name, from, to| ChannelDecl {
+            name,
+            senders: vec![from],
+            receiver: to,
+            bound: 8,
+            doc: "test",
+        };
         let model = ConcModel {
             component: "red",
             threads: vec![thread("t1"), thread("t2")],
-            locks: vec![],
-            channels: vec![
-                ChannelDecl {
-                    name: "x",
-                    senders: vec!["t1"],
-                    receiver: "t2",
-                    bound: Some(8),
-                    policy: Some(FullPolicy::Block),
-                    doc: "test",
-                },
-                ChannelDecl {
-                    name: "y",
-                    senders: vec!["t2"],
-                    receiver: "t1",
-                    bound: Some(8),
-                    policy: Some(FullPolicy::Block),
-                    doc: "test",
-                },
-            ],
+            channels: vec![chan("x", "t1", "t2"), chan("y", "t2", "t1")],
             edges: vec![
                 BlockingEdge {
                     thread: "t1",
                     waits: WaitPoint::ChanSend("x"),
-                    holding: vec![],
                     timed: false,
                 },
                 BlockingEdge {
                     thread: "t2",
                     waits: WaitPoint::ChanSend("y"),
-                    holding: vec![],
                     timed: false,
                 },
             ],
@@ -629,106 +595,6 @@ mod tests {
             "{:?}",
             report.findings
         );
-    }
-
-    #[test]
-    fn full_empty_prune_discards_infeasible_cycles() {
-        // Producer blocked sending (queue full) + consumer blocked
-        // receiving (queue empty) on the SAME channel is a 2-cycle in the
-        // raw graph but cannot happen: one queue is not both full and
-        // empty.
-        let model = ConcModel {
-            component: "ok",
-            threads: vec![thread("prod"), thread("cons")],
-            locks: vec![],
-            channels: vec![ChannelDecl {
-                name: "q",
-                senders: vec!["prod"],
-                receiver: "cons",
-                bound: Some(8),
-                policy: Some(FullPolicy::Block),
-                doc: "test",
-            }],
-            edges: vec![
-                BlockingEdge {
-                    thread: "prod",
-                    waits: WaitPoint::ChanSend("q"),
-                    holding: vec![],
-                    timed: false,
-                },
-                BlockingEdge {
-                    thread: "cons",
-                    waits: WaitPoint::ChanRecv("q"),
-                    holding: vec![],
-                    timed: false,
-                },
-            ],
-        };
-        let mut report = LintReport::default();
-        lint_conc_deadlock(&model, &mut report);
-        assert!(report.findings.is_empty(), "{:?}", report.findings);
-    }
-
-    #[test]
-    fn unbounded_or_policyless_channel_is_caught() {
-        let model = ConcModel {
-            component: "red",
-            threads: vec![thread("t1"), thread("t2")],
-            locks: vec![],
-            channels: vec![
-                ChannelDecl {
-                    name: "nobound",
-                    senders: vec!["t1"],
-                    receiver: "t2",
-                    bound: None,
-                    policy: Some(FullPolicy::Block),
-                    doc: "test",
-                },
-                ChannelDecl {
-                    name: "nopolicy",
-                    senders: vec!["t1"],
-                    receiver: "t2",
-                    bound: Some(4),
-                    policy: None,
-                    doc: "test",
-                },
-            ],
-            edges: vec![],
-        };
-        let mut report = LintReport::default();
-        lint_conc_unbounded(&model, &mut report);
-        assert_eq!(codes(&report), vec!["conc-unbounded", "conc-unbounded"]);
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.message.contains("nobound")));
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.message.contains("nopolicy")));
-    }
-
-    #[test]
-    fn hold_across_block_is_caught() {
-        let model = ConcModel {
-            component: "red",
-            threads: vec![thread("t1"), thread("t2")],
-            locks: vec![LockDecl {
-                name: "stats",
-                rank: 1,
-                doc: "test",
-            }],
-            channels: vec![],
-            edges: vec![BlockingEdge {
-                thread: "t1",
-                waits: WaitPoint::SockRead("t2"),
-                holding: vec!["stats"],
-                timed: false,
-            }],
-        };
-        let mut report = LintReport::default();
-        lint_conc_hold_across_block(&model, &mut report);
-        assert_eq!(codes(&report), vec!["conc-hold-across-block"]);
     }
 
     #[test]
@@ -741,19 +607,16 @@ mod tests {
                 spawned_by: "ghost-spawner",
                 doc: "test",
             }],
-            locks: vec![],
             channels: vec![ChannelDecl {
                 name: "c",
                 senders: vec!["nobody"],
                 receiver: "t1",
-                bound: Some(4),
-                policy: Some(FullPolicy::Block),
+                bound: 4,
                 doc: "test",
             }],
             edges: vec![BlockingEdge {
                 thread: "phantom",
-                waits: WaitPoint::LockAcquire("missing-lock"),
-                holding: vec![],
+                waits: WaitPoint::ChanRecv("missing-chan"),
                 timed: false,
             }],
         };
@@ -764,40 +627,7 @@ mod tests {
         assert!(msgs.iter().any(|m| m.contains("ghost-spawner")), "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("nobody")), "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("phantom")), "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("missing-lock")), "{msgs:?}");
-    }
-
-    #[test]
-    fn stale_blocking_edge_on_shed_channel_is_a_warning() {
-        let model = ConcModel {
-            component: "warn",
-            threads: vec![thread("t1"), thread("t2")],
-            locks: vec![],
-            channels: vec![ChannelDecl {
-                name: "c",
-                senders: vec!["t1"],
-                receiver: "t2",
-                bound: Some(4),
-                policy: Some(FullPolicy::Shed),
-                doc: "test",
-            }],
-            edges: vec![BlockingEdge {
-                thread: "t1",
-                waits: WaitPoint::ChanSend("c"),
-                holding: vec![],
-                timed: false,
-            }],
-        };
-        let mut report = LintReport::default();
-        lint_conc_coverage(&model, &mut report);
-        assert!(
-            report.violations().next().is_none(),
-            "{:?}",
-            report.findings
-        );
-        assert!(report
-            .warnings()
-            .any(|f| f.code == "conc-coverage" && f.message.contains("stale edge")));
+        assert!(msgs.iter().any(|m| m.contains("missing-chan")), "{msgs:?}");
     }
 
     #[test]
@@ -809,9 +639,7 @@ mod tests {
         // e.g. a naive `write_all` of `peers`/`stop` while that node is
         // itself stuck pushing status into a full pipe — both sides wait
         // for buffer space on the same socketpair and the control tree
-        // wedges. The lint must refuse that flip: both waits are
-        // full-polarity on one resource, so the full+empty prune cannot
-        // discard the cycle.
+        // wedges. The lint must refuse that flip.
         let mut model = ssmfp_cluster::conc::default_model();
         let edge = model
             .edges
@@ -849,13 +677,11 @@ mod tests {
         stale.edges.push(BlockingEdge {
             thread: "node.io",
             waits: WaitPoint::SockRead("node.main"),
-            holding: vec![],
             timed: true,
         });
         stale.edges.push(BlockingEdge {
             thread: "node.main",
             waits: WaitPoint::ChanSend("node.ioq"),
-            holding: vec![],
             timed: false,
         });
         let mut report = LintReport::default();
@@ -874,10 +700,10 @@ mod tests {
     #[test]
     fn undeclared_client_mux_channel_fails_conc_coverage() {
         // The client layer's design claim: `ClientMux` lives *inside*
-        // `node.main` — no new threads, locks, or channels. If a future
-        // refactor gave it a queue (say a `client.mux` channel feeding
-        // sessions from another thread) without declaring it, the edge
-        // must fail conc-coverage rather than ship silently.
+        // `node.main` — no new threads or channels. If a future refactor
+        // gave it a queue (say a `client.mux` channel feeding sessions
+        // from another thread) without declaring it, the edge must fail
+        // conc-coverage rather than ship silently.
         let model = ssmfp_cluster::conc::default_model();
         assert!(
             model.channel("client.mux").is_none(),
@@ -887,7 +713,6 @@ mod tests {
         stale.edges.push(BlockingEdge {
             thread: "node.main",
             waits: WaitPoint::ChanSend("client.mux"),
-            holding: vec![],
             timed: false,
         });
         let mut report = LintReport::default();

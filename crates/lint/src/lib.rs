@@ -45,16 +45,15 @@
 //!   or state the protocol never repairs, and the soak oracle's
 //!   post-fault argument would be vacuous.
 //!
-//! * **`conc-*`** (module [`conc`]) — the runtime crates declare their
+//! * **`conc-*`** (module [`conc`]) — the cluster runtime declares its
 //!   concurrency footprint ([`ssmfp_core::conc::ConcModel`]: thread
-//!   roles, lock ranks, channel bounds/policies, blocking edges) the
-//!   same way the rules declare state footprints. `conc-deadlock`
-//!   detects lock-rank inversions and feasible circular waits,
-//!   `conc-unbounded` requires a bound and a full-queue policy on every
-//!   cross-thread channel, `conc-hold-across-block` forbids holding a
-//!   lock across blocking I/O, and `conc-coverage` keeps the
-//!   declarations referentially closed (its runtime half — observed
-//!   threads ⊆ declared roles — runs in the debug-build suites).
+//!   roles, channel bounds, blocking edges) the same way the rules
+//!   declare state footprints. `conc-coverage` keeps the declaration
+//!   referentially closed (its runtime half — observed threads ⊆
+//!   declared roles — runs in the debug-build suites), `conc-deadlock`
+//!   finds circular untimed waits, and `conc-sites` scans the `cluster`
+//!   and `mp` source for thread/lock/channel primitives outside the
+//!   declared sites.
 //!
 //! Findings are emitted as a machine-readable JSON report by the
 //! `ssmfp-lint` binary, which exits nonzero on violations (and, under
@@ -63,7 +62,6 @@
 
 pub mod conc;
 
-use ssmfp_core::conc::ConcModel;
 use ssmfp_core::footprint::{composed_fwd_footprint, guards_can_overlap, LAYER_SSMFP};
 use ssmfp_core::wire::{
     FrameTag, CLIENT_STAMP_FIELDS, ENCODED_CLIENT_STAMP_FIELDS, LINK_EVENT_KINDS,
@@ -272,19 +270,15 @@ pub const PASSES: &[(&str, &str)] = &[
     ),
     (
         "conc-deadlock",
-        "no lock-rank inversions and no feasible circular wait in the declared blocking graph",
-    ),
-    (
-        "conc-unbounded",
-        "every cross-thread channel declares a bound and a full-queue policy",
-    ),
-    (
-        "conc-hold-across-block",
-        "no lock is held across a declared socket/queue blocking edge",
+        "no circular wait among the untimed edges of the declared blocking graph",
     ),
     (
         "conc-coverage",
         "concurrency declarations are referentially closed (runtime half: observed ⊆ declared)",
+    ),
+    (
+        "conc-sites",
+        "no thread/lock/channel primitive in cluster/mp source outside the declared sync sites",
     ),
 ];
 
@@ -306,14 +300,9 @@ impl LintReport {
     }
 }
 
-/// The shipped concurrency models: the cluster data plane and the
-/// (single-threaded) message-passing simulator.
-pub fn default_conc_models() -> Vec<ConcModel> {
-    vec![ssmfp_mp::conc_model(), ssmfp_cluster::conc::default_model()]
-}
-
-/// Runs every analysis over `decls` and `models`.
-pub fn analyze_with_conc(decls: &[RuleDecl], models: &[ConcModel]) -> LintReport {
+/// Runs every analysis over `decls`, with the shipped concurrency model
+/// and the `conc-sites` scan of the source tree.
+pub fn analyze(decls: &[RuleDecl]) -> LintReport {
     let mut report = LintReport::default();
     lint_non_local_writes(decls, &mut report);
     lint_ownership(decls, &mut report);
@@ -323,18 +312,16 @@ pub fn analyze_with_conc(decls: &[RuleDecl], models: &[ConcModel]) -> LintReport
     lint_codec(decls, &codec_footprint(), &mut report);
     lint_fault_domains(decls, &mut report);
     lint_wire_coverage(&default_wire_surface(), &mut report);
-    for model in models {
-        conc::lint_conc_model(model, &mut report);
-    }
+    conc::lint_conc_model(&ssmfp_cluster::conc::default_model(), &mut report);
+    conc::lint_conc_sites(
+        std::path::Path::new(conc::CRATES_DIR),
+        ssmfp_cluster::conc::SYNC_SITES,
+        &mut report,
+    );
     report
         .findings
         .sort_by_key(|f| (f.severity == Severity::Warning) as u8);
     report
-}
-
-/// Runs every analysis over `decls`, with the shipped concurrency models.
-pub fn analyze(decls: &[RuleDecl]) -> LintReport {
-    analyze_with_conc(decls, &default_conc_models())
 }
 
 /// Convenience: analyze the shipped declarations.
@@ -779,11 +766,10 @@ pub fn to_json(report: &LintReport) -> String {
         .iter()
         .map(|c| {
             format!(
-                "{{\"component\":\"{}\",\"threads\":{},\"locks\":{},\"channels\":{},\
-                 \"edges\":{},\"untimed_edges\":{}}}",
+                "{{\"component\":\"{}\",\"threads\":{},\"channels\":{},\"edges\":{},\
+                 \"untimed_edges\":{}}}",
                 esc(&c.component),
                 c.threads,
-                c.locks,
                 c.channels,
                 c.edges,
                 c.untimed_edges

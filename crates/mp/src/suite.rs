@@ -1,31 +1,16 @@
 //! Transport-generic exactly-once conformance suite.
 //!
-//! The satellite requirement: the in-process channel transport and the
-//! cluster crate's socket transport must be property-tested against the
-//! *same* suite instead of diverging copies. Each check here is generic
-//! over a transport factory `FnMut(&Graph) -> T`; `crates/mp`'s own tests
-//! instantiate it with [`ChannelTransport`], and `crates/cluster` runs the
-//! identical checks over its loopback socket transport.
+//! The in-process channel transport and the cluster crate's socket
+//! transport are property-tested against the *same* suite instead of
+//! diverging copies. Each check here is generic over a transport factory
+//! `FnMut(&Graph) -> T`; `crates/mp`'s own tests instantiate it with
+//! [`ChannelTransport`](crate::net::ChannelTransport), and
+//! `crates/cluster` runs the identical checks over its polled socket
+//! transport (nonblocking socketpairs with coalesced writes).
 
-use crate::conc::{COMPONENT, DRIVER_ROLE};
 use crate::net::{ChannelFaults, MpConfig, Transport};
 use crate::port::{MpGhost, PortNetwork, WireMsg};
-use ssmfp_core::conc::{observed_threads, register_thread};
 use ssmfp_topology::{gen, Graph};
-
-/// Registers the caller as the declared driver thread and, in debug
-/// builds, asserts no undeclared `mp` role has been observed — the
-/// runtime half of the `conc-coverage` contract.
-fn assert_conc_coverage() {
-    register_thread(COMPONENT, DRIVER_ROLE);
-    if cfg!(debug_assertions) {
-        let undeclared = crate::conc::model().undeclared_observed(&observed_threads(COMPONENT));
-        assert!(
-            undeclared.is_empty(),
-            "threads outside the declared mp concurrency model: {undeclared:?}"
-        );
-    }
-}
 
 /// Outcome of one suite run, for reporting in callers' test output.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +74,6 @@ where
     T: Transport<WireMsg>,
     F: FnMut(&Graph) -> T,
 {
-    assert_conc_coverage();
     let mut outcome = SuiteOutcome::default();
     for seed in seeds {
         outcome.seeds += 1;
@@ -107,7 +91,6 @@ where
             drive(&mut net, &sends, 400_000, &mut outcome);
         }
     }
-    assert_conc_coverage();
     outcome
 }
 
@@ -121,7 +104,6 @@ where
     T: Transport<WireMsg>,
     F: FnMut(&Graph) -> T,
 {
-    assert_conc_coverage();
     let mut outcome = SuiteOutcome::default();
     for seed in seeds {
         outcome.seeds += 1;
@@ -140,7 +122,6 @@ where
             drive(&mut net, &sends, 800_000, &mut outcome);
         }
     }
-    assert_conc_coverage();
     outcome
 }
 
